@@ -2,11 +2,13 @@ package replica
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -158,6 +160,47 @@ func TestFollowerTailsLeaderAndRejectsIngest(t *testing.T) {
 	}
 	if hint := resp.Header.Get(LeaderHeader); hint != leaderURL {
 		t.Fatalf("leader hint %q, want %q", hint, leaderURL)
+	}
+}
+
+// TestCaughtUpFollowerServesLeadersRanking: a ranking is a function of
+// the vote set and seed, so a caught-up follower answers exactly what the
+// leader does at the same vote count, and serves its second rank from its
+// own answer cache.
+func TestCaughtUpFollowerServesLeadersRanking(t *testing.T) {
+	leader, leaderURL := startNode(t, t.TempDir(), "", nil)
+	ingestKeyed(t, leader, 0, 10)
+	follower, _ := startNode(t, t.TempDir(), leaderURL, nil)
+	waitFor(t, "follower catch-up", func() bool {
+		return follower.Server().VoteCount() == leader.Server().VoteCount() && follower.Lag() == 0
+	})
+
+	want, err := leader.Server().Rank()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := follower.Server().Rank()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Votes != want.Votes || !slices.Equal(got.Ranking, want.Ranking) || got.LogProb != want.LogProb {
+		t.Fatalf("follower ranked %v (LogProb %v, %d votes), leader %v (LogProb %v, %d votes)",
+			got.Ranking, got.LogProb, got.Votes, want.Ranking, want.LogProb, want.Votes)
+	}
+
+	resp, err := http.Get(followerURL(follower) + "/rank")
+	if err != nil {
+		t.Fatal(err)
+	}
+	//lint:ignore errcheck test response body; nothing actionable on close
+	defer resp.Body.Close()
+	var again serve.RankResult
+	if err := json.NewDecoder(resp.Body).Decode(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !again.Cached || !slices.Equal(again.Ranking, want.Ranking) || again.LogProb != want.LogProb {
+		t.Fatalf("follower's second rank: cached=%v ranking %v LogProb %v, want a cached %v at %v",
+			again.Cached, again.Ranking, again.LogProb, want.Ranking, want.LogProb)
 	}
 }
 

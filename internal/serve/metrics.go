@@ -9,8 +9,9 @@ import (
 )
 
 // Stage names used by the per-stage inference latency histograms. Truth,
-// smooth, and propagate are observed when a closure is (re)built — cache
-// hits skip them by design; search is observed on every ranked request.
+// smooth, and propagate are observed when a closure is (re)built; search
+// when a rank ran a search rather than serving a cached answer. Cache
+// hits skip them by design.
 const (
 	stageTruth     = "truth"
 	stageSmooth    = "smooth"
@@ -39,6 +40,11 @@ type metrics struct {
 	rankDegraded *obs.Counter
 	rankSeconds  *obs.Histogram
 	stageSeconds map[string]*obs.Histogram
+
+	closureCacheHit  *obs.Counter
+	closureCacheMiss *obs.Counter
+	answerCacheHit   *obs.Counter
+	answerCacheMiss  *obs.Counter
 
 	slowRequests *obs.Counter
 	httpSeconds  map[string]*obs.Histogram
@@ -80,6 +86,11 @@ func newMetrics(reg *obs.Registry) *metrics {
 		rankSeconds:  reg.Histogram("crowdrankd_rank_seconds", "End-to-end rank latency.", nil),
 		stageSeconds: make(map[string]*obs.Histogram, 4),
 
+		closureCacheHit:  reg.Counter("crowdrankd_closure_cache_total", "Closure lookups by ranked requests, by whether the generation's closure was cached.", obs.L("result", "hit")),
+		closureCacheMiss: reg.Counter("crowdrankd_closure_cache_total", "Closure lookups by ranked requests, by whether the generation's closure was cached.", obs.L("result", "miss")),
+		answerCacheHit:   reg.Counter("crowdrankd_rank_answer_cache_total", "Exact and SAPS rung lookups, by whether the generation's answer was cached.", obs.L("result", "hit")),
+		answerCacheMiss:  reg.Counter("crowdrankd_rank_answer_cache_total", "Exact and SAPS rung lookups, by whether the generation's answer was cached.", obs.L("result", "miss")),
+
 		slowRequests: reg.Counter("crowdrankd_http_slow_requests_total", "HTTP requests slower than the configured threshold."),
 		httpSeconds:  make(map[string]*obs.Histogram, len(httpRoutes)),
 
@@ -103,7 +114,7 @@ func newMetrics(reg *obs.Registry) *metrics {
 		m.rankByAlgo[algo] = reg.Counter("crowdrankd_rank_requests_total", "Rank responses by the ladder rung that answered.", obs.L("algorithm", algo))
 	}
 	for _, stage := range []string{stageTruth, stageSmooth, stagePropagate, stageSearch} {
-		m.stageSeconds[stage] = reg.Histogram("crowdrankd_infer_stage_seconds", "Per-stage inference latency (truth/smooth/propagate on closure rebuilds, search per request).", nil, obs.L("stage", stage))
+		m.stageSeconds[stage] = reg.Histogram("crowdrankd_infer_stage_seconds", "Per-stage inference latency (truth/smooth/propagate on closure rebuilds, search when a rank ran one).", nil, obs.L("stage", stage))
 	}
 	for _, route := range httpRoutes {
 		m.httpSeconds[route] = reg.Histogram("crowdrankd_http_request_seconds", "HTTP request latency by route.", nil, obs.L("route", route))

@@ -14,6 +14,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -115,9 +116,16 @@ func TestMetricsExpositionGolden(t *testing.T) {
 	}
 
 	// Scrape over HTTP first so the route="metrics" request series
-	// exists, and pin the exposition content type while at it.
+	// exists, and pin the exposition content type while at it. The body
+	// is read to its end: the exposition outgrows the server's write
+	// buffer, so its headers reach the client while the handler is still
+	// writing, and only the end of the body comes after the route's
+	// request counter is recorded.
 	resp, err = http.Get(srv.URL + "/metrics")
 	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.Copy(io.Discard, resp.Body); err != nil {
 		t.Fatal(err)
 	}
 	if err := resp.Body.Close(); err != nil {

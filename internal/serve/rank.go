@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"time"
 
 	"crowdrank/internal/invariant"
@@ -43,6 +44,10 @@ type RankResult struct {
 	// Seed is the pipeline seed; CertifyRanking with the same votes and
 	// WithSeed(Seed) certifies this ranking against the same closure.
 	Seed uint64 `json:"seed"`
+	// Cached is true when Ranking is the generation's stored answer from
+	// an earlier request rather than a search run for this one. It is
+	// identical to what the search would return.
+	Cached bool `json:"cached"`
 	// Breaker is the exact-rung breaker state after this request
 	// (closed, open, or half-open).
 	Breaker string `json:"breaker"`
@@ -57,10 +62,11 @@ func newPipelineRNG(seed uint64) *rand.Rand {
 	return rand.New(rand.NewPCG(seed, seed^0xd1342543de82ef95))
 }
 
-// newSearchRNG seeds the SAPS rung. It is deliberately a separate stream:
-// the closure cache means the smoothing draws are not re-consumed per
-// request, so SAPS determinism must not depend on pipeline stream
-// position.
+// newSearchRNG seeds the SAPS rung. It is deliberately a separate stream,
+// fresh for every search: a cached closure means the smoothing draws are
+// not re-consumed per request, so SAPS determinism must not depend on
+// pipeline stream position. That determinism is what lets the answer
+// cache serve a generation's SAPS answer in place of a rerun.
 func newSearchRNG(seed uint64) *rand.Rand {
 	return rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15))
 }
@@ -88,6 +94,12 @@ func (s *Server) Rank() (*RankResult, error) {
 // order as the floor. An expired deadline is absorbed by degradation — the
 // call still returns a ranking; only an explicit cancellation (client
 // gone) or a broken pipeline returns an error.
+//
+// Each generation's closure and completed exact and SAPS answers are
+// cached (cache.go). The ladder's entry conditions are unchanged — a rung
+// is entered exactly when it would be without the cache — but an entered
+// rung whose answer is cached serves it instead of searching again.
+// Greedy always runs.
 func (s *Server) RankContext(ctx context.Context) (*RankResult, error) {
 	// All request timing goes through the injected clock: Since carries
 	// the monotonic reading on the real clock (immune to wall jumps), and
@@ -107,7 +119,8 @@ func (s *Server) RankContext(ctx context.Context) (*RankResult, error) {
 
 	votes, gen := s.snapshot()
 	res := &RankResult{Votes: len(votes), Seed: s.cfg.Seed}
-	var searchStart time.Time // zero until the closure is built
+	var searchStart time.Time
+	searched := false // a search ran for this request, not a cache hit
 	finish := func(path []int, logProb float64) (*RankResult, error) {
 		// Stage-boundary assertion (no-op unless built with
 		// -tags crowdrank_invariants): every rung must return a
@@ -122,10 +135,17 @@ func (s *Server) RankContext(ctx context.Context) (*RankResult, error) {
 		if res.Degraded {
 			s.met.rankDegraded.Inc()
 		}
-		if !searchStart.IsZero() {
+		if searched {
 			s.met.stageSeconds[stageSearch].ObserveDuration(s.clock.Since(searchStart))
 		}
 		return res, nil
+	}
+	// serveCached answers with a's stored result. The path is copied so
+	// a caller editing its ranking cannot reach the cache.
+	serveCached := func(a *rungAnswer) (*RankResult, error) {
+		res.Algorithm = a.algorithm
+		res.Cached = true
+		return finish(slices.Clone(a.path), a.logProb)
 	}
 
 	if len(votes) == 0 {
@@ -164,10 +184,16 @@ func (s *Server) RankContext(ctx context.Context) (*RankResult, error) {
 		affordable = exactBudget > 2*heldKarpEstimate(s.cfg.N)
 	}
 	if affordable && s.breaker.allow() {
+		if a := s.cachedAnswer(gen, rungExact); a != nil {
+			s.breaker.success() // as the rerun it stands in for would
+			return serveCached(a)
+		}
+		searched = true
 		if useHeldKarp {
 			if sr, err := search.HeldKarp(closure, 0, obj); err == nil {
 				s.breaker.success()
 				res.Algorithm = AlgoExactHeldKarp
+				s.storeAnswer(gen, closure, rungExact, res.Algorithm, sr)
 				return finish(sr.Path, sr.LogProb)
 			}
 			// Structurally impossible on a complete closure, but resolve
@@ -184,6 +210,7 @@ func (s *Server) RankContext(ctx context.Context) (*RankResult, error) {
 			if err == nil {
 				s.breaker.success()
 				res.Algorithm = AlgoExactBranchBound
+				s.storeAnswer(gen, closure, rungExact, res.Algorithm, sr)
 				return finish(sr.Path, sr.LogProb)
 			}
 			if ctxErr := ctx.Err(); ctxErr != nil && !errors.Is(ctxErr, context.DeadlineExceeded) {
@@ -201,6 +228,10 @@ func (s *Server) RankContext(ctx context.Context) (*RankResult, error) {
 
 	// Rung 2: SAPS annealing under what is left of the deadline.
 	if rem := remaining(); rem >= s.cfg.MinRungBudget {
+		if a := s.cachedAnswer(gen, rungSAPS); a != nil {
+			return serveCached(a)
+		}
+		searched = true
 		sapsCtx, cancel := ctx, context.CancelFunc(func() {})
 		if hasDeadline {
 			sapsCtx, cancel = context.WithTimeout(ctx, time.Duration(float64(rem)*s.cfg.SAPSFraction))
@@ -212,6 +243,7 @@ func (s *Server) RankContext(ctx context.Context) (*RankResult, error) {
 		cancel()
 		if err == nil {
 			res.Algorithm = AlgoSAPS
+			s.storeAnswer(gen, closure, rungSAPS, res.Algorithm, sr)
 			return finish(sr.Path, sr.LogProb)
 		}
 		if ctxErr := ctx.Err(); ctxErr != nil && !errors.Is(ctxErr, context.DeadlineExceeded) {
@@ -221,6 +253,7 @@ func (s *Server) RankContext(ctx context.Context) (*RankResult, error) {
 
 	// Rung 3: greedy tournament order — the floor that answers even after
 	// the deadline has expired.
+	searched = true
 	sr, err := search.Greedy(closure, obj)
 	if err != nil {
 		return nil, fmt.Errorf("serve: greedy floor failed: %w", err)

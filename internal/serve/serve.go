@@ -29,10 +29,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"crowdrank/internal/core"
 	"crowdrank/internal/crowd"
 	"crowdrank/internal/feq"
-	"crowdrank/internal/graph"
 	"crowdrank/internal/journal"
 	"crowdrank/internal/obs"
 	"crowdrank/internal/snapshot"
@@ -312,7 +310,7 @@ type Server struct {
 	seen         map[submissionKey]bool
 	acks         map[string]IngestResult // batch idempotency window
 	ackOrder     []string                // FIFO eviction order for acks
-	gen          uint64                  // bumped whenever votes change; keys the closure cache
+	gen          uint64                  // bumped whenever votes change; keys the answer cache
 	batches      int                     // journal records acknowledged or replayed
 	dupVotes     int                     // exact duplicates suppressed by apply
 	malformed    int                     // votes dropped at ingest since start (not journaled)
@@ -320,9 +318,11 @@ type Server struct {
 	lastSnapGen  uint64
 	lastSnapPath string
 
+	// closureMu serializes closure builds, so ranks arriving together at
+	// a new generation build it once; entry is the answer cache, the
+	// newest generation's closure and completed rung answers (cache.go).
 	closureMu sync.Mutex
-	cacheGen  uint64
-	cache     *graph.PreferenceGraph
+	entry     atomic.Pointer[genEntry]
 
 	breaker   *breaker
 	rankSem   chan struct{}
@@ -870,35 +870,6 @@ func (s *Server) snapshot() ([]crowd.Vote, uint64) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.votes[:len(s.votes):len(s.votes)], s.gen
-}
-
-// closure returns the Step 1-3 transitive closure of the current votes,
-// cached per state generation so repeated rank requests over unchanged
-// state skip the pipeline prefix entirely.
-func (s *Server) closure(votes []crowd.Vote, gen uint64) (*graph.PreferenceGraph, error) {
-	s.closureMu.Lock()
-	defer s.closureMu.Unlock()
-	if s.cache != nil && s.cacheGen == gen {
-		return s.cache, nil
-	}
-	opts := core.DefaultOptions()
-	opts.SAPS.Parallelism = s.cfg.Parallelism
-	opts.Propagate.Parallelism = s.cfg.Parallelism
-	rng := newPipelineRNG(s.cfg.Seed)
-	//lint:ignore lockcheck closureMu deliberately holds concurrent ranks on one closure build (CPU-bound fan-out over worker channels) so identical generations are computed once and served from cache
-	cl, err := core.BuildClosure(s.cfg.N, s.cfg.M, votes, opts, rng)
-	if err != nil {
-		return nil, fmt.Errorf("serve: building closure: %w", err)
-	}
-	// Stage histograms record rebuild cost only: a cache hit spent no
-	// time in Steps 1-3, and observing zeros would flatten the latency
-	// distribution the histogram exists to expose.
-	s.met.stageSeconds[stageTruth].ObserveDuration(cl.Timings.TruthDiscovery)
-	s.met.stageSeconds[stageSmooth].ObserveDuration(cl.Timings.Smoothing)
-	s.met.stageSeconds[stagePropagate].ObserveDuration(cl.Timings.Propagation)
-	s.cache = cl.Closure
-	s.cacheGen = gen
-	return s.cache, nil
 }
 
 // VoteCount returns the deduplicated vote count.

@@ -14,6 +14,7 @@ import (
 
 	"crowdrank/internal/crowd"
 	"crowdrank/internal/obs"
+	"crowdrank/internal/search"
 )
 
 // agreeingVotes has every worker vote every pair according to the identity
@@ -704,6 +705,51 @@ func TestClosureCacheInvalidation(t *testing.T) {
 	}
 	if c3 == c1 {
 		t.Fatal("new generation must rebuild the closure")
+	}
+}
+
+// TestClosureCacheNeverGoesBackwards: a rank that snapshotted generation
+// g and reaches the cache after g+1 was built gets g's closure for its own
+// answer, but must not evict g+1 — the next g+1 lookup is still a hit.
+func TestClosureCacheNeverGoesBackwards(t *testing.T) {
+	cfg := DefaultConfig(5, 2)
+	cfg.Seed = 43
+	s := newTestServer(t, cfg)
+	if _, err := s.Ingest(agreeingVotes(5, 1)); err != nil {
+		t.Fatal(err)
+	}
+	oldVotes, oldGen := s.snapshot()
+	if _, err := s.Ingest([]crowd.Vote{{Worker: 1, I: 0, J: 1, PrefersI: false}}); err != nil {
+		t.Fatal(err)
+	}
+	newVotes, newGen := s.snapshot()
+	if newGen <= oldGen {
+		t.Fatalf("generation did not advance: %d then %d", oldGen, newGen)
+	}
+
+	cNew, err := s.closure(newVotes, newGen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cOld, err := s.closure(oldVotes, oldGen) // the late, older build
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cOld == cNew {
+		t.Fatal("the older generation must get its own closure")
+	}
+	misses := s.met.closureCacheMiss.Value()
+	again, err := s.closure(newVotes, newGen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again != cNew || s.met.closureCacheMiss.Value() != misses {
+		t.Fatal("a late build of an older generation evicted the newer closure")
+	}
+	// A late answer for the older generation is dropped the same way.
+	s.storeAnswer(oldGen, cOld, rungSAPS, AlgoSAPS, &search.Result{Path: []int{0, 1, 2, 3, 4}, LogProb: -1})
+	if e := s.cached(newGen); e == nil || e.closure != cNew {
+		t.Fatal("a late answer for an older generation replaced the newer entry")
 	}
 }
 

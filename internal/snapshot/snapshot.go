@@ -74,7 +74,7 @@ type State struct {
 	// sequence < Seq is folded in, and recovery replays from Seq.
 	Seq uint64
 	// Gen is the server's state-generation counter at capture (it keys
-	// the closure cache and must survive restarts monotonically).
+	// the answer cache and must survive restarts monotonically).
 	Gen uint64
 	// DupVotes is the cross-batch duplicate count at capture, preserved
 	// so operational stats do not reset on restart.
