@@ -145,64 +145,22 @@ func Infer(n, m int, votes []crowd.Vote, opts Options, rng *rand.Rand) (*Result,
 // branch-and-bound), so an expired deadline or an explicit cancel abandons
 // inference promptly with ctx's error.
 func InferContext(ctx context.Context, n, m int, votes []crowd.Vote, opts Options, rng *rand.Rand) (*Result, error) {
-	if rng == nil {
-		return nil, fmt.Errorf("core: nil random source")
-	}
-	if err := ctx.Err(); err != nil {
+	cl, err := buildClosure(ctx, n, m, votes, opts, rng)
+	if err != nil {
 		return nil, err
 	}
-
-	// Step 1: truth discovery.
-	start := time.Now()
-	discovered, err := truth.Discover(n, m, votes, opts.Truth)
-	if err != nil {
-		return nil, fmt.Errorf("core: step 1 (truth discovery): %w", err)
-	}
-	gp, err := truth.BuildPreferenceGraph(n, discovered.Preference)
-	if err != nil {
-		return nil, fmt.Errorf("core: step 1 (preference graph): %w", err)
-	}
+	closure := cl.Closure
 	res := &Result{
-		WorkerQuality:   discovered.Quality,
-		TruthIterations: discovered.Iterations,
-		TruthConverged:  discovered.Converged,
-	}
-	res.Timings.TruthDiscovery = time.Since(start)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	// Step 2: preference smoothing.
-	start = time.Now()
-	workersByPair := make(map[graph.Pair][]int)
-	for _, v := range votes {
-		p := v.Pair()
-		workersByPair[p] = append(workersByPair[p], v.Worker)
-	}
-	smoothed, smoothStats, err := smooth.Smooth(gp, discovered.Quality, workersByPair, rng, opts.Smooth)
-	if err != nil {
-		return nil, fmt.Errorf("core: step 2 (smoothing): %w", err)
-	}
-	res.OneEdges = smoothStats.OneEdges
-	res.Timings.Smoothing = time.Since(start)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	// Step 3: preference propagation into the normalized closure.
-	start = time.Now()
-	closure, propStats, err := propagate.Closure(smoothed, opts.Propagate)
-	if err != nil {
-		return nil, fmt.Errorf("core: step 3 (propagation): %w", err)
-	}
-	res.UninformedPairs = propStats.UninformedPairs
-	res.Timings.Propagation = time.Since(start)
-	if err := ctx.Err(); err != nil {
-		return nil, err
+		WorkerQuality:   cl.WorkerQuality,
+		TruthIterations: cl.TruthIterations,
+		TruthConverged:  cl.TruthConverged,
+		OneEdges:        cl.OneEdges,
+		UninformedPairs: cl.UninformedPairs,
+		Timings:         cl.Timings,
 	}
 
 	// Step 4: best-ranking search.
-	start = time.Now()
+	start := time.Now()
 	searcher := opts.Searcher
 	if searcher == SearcherAuto {
 		if n <= autoExactLimit {
@@ -278,10 +236,22 @@ type ClosureResult struct {
 // propagation) and returns the complete normalized closure together with
 // the per-step diagnostics. rng drives the smoothing draws.
 func BuildClosure(n, m int, votes []crowd.Vote, opts Options, rng *rand.Rand) (*ClosureResult, error) {
+	return buildClosure(context.Background(), n, m, votes, opts, rng)
+}
+
+// buildClosure is the one implementation of Steps 1-3, shared by
+// BuildClosure and InferContext. ctx is checked before Step 1 and after
+// each step; rng is consumed by Step 2's smoothing draws only.
+func buildClosure(ctx context.Context, n, m int, votes []crowd.Vote, opts Options, rng *rand.Rand) (*ClosureResult, error) {
 	if rng == nil {
 		return nil, fmt.Errorf("core: nil random source")
 	}
-	var timings StepTimings
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	cl := &ClosureResult{}
+
+	// Step 1: truth discovery.
 	start := time.Now()
 	discovered, err := truth.Discover(n, m, votes, opts.Truth)
 	if err != nil {
@@ -291,7 +261,15 @@ func BuildClosure(n, m int, votes []crowd.Vote, opts Options, rng *rand.Rand) (*
 	if err != nil {
 		return nil, fmt.Errorf("core: step 1 (preference graph): %w", err)
 	}
-	timings.TruthDiscovery = time.Since(start)
+	cl.WorkerQuality = discovered.Quality
+	cl.TruthIterations = discovered.Iterations
+	cl.TruthConverged = discovered.Converged
+	cl.Timings.TruthDiscovery = time.Since(start)
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+
+	// Step 2: preference smoothing.
 	start = time.Now()
 	workersByPair := make(map[graph.Pair][]int)
 	for _, v := range votes {
@@ -302,22 +280,25 @@ func BuildClosure(n, m int, votes []crowd.Vote, opts Options, rng *rand.Rand) (*
 	if err != nil {
 		return nil, fmt.Errorf("core: step 2 (smoothing): %w", err)
 	}
-	timings.Smoothing = time.Since(start)
+	cl.OneEdges = smoothStats.OneEdges
+	cl.Timings.Smoothing = time.Since(start)
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+
+	// Step 3: preference propagation into the normalized closure.
 	start = time.Now()
 	closure, propStats, err := propagate.Closure(smoothed, opts.Propagate)
 	if err != nil {
 		return nil, fmt.Errorf("core: step 3 (propagation): %w", err)
 	}
-	timings.Propagation = time.Since(start)
-	return &ClosureResult{
-		Closure:         closure,
-		WorkerQuality:   discovered.Quality,
-		TruthIterations: discovered.Iterations,
-		TruthConverged:  discovered.Converged,
-		OneEdges:        smoothStats.OneEdges,
-		UninformedPairs: propStats.UninformedPairs,
-		Timings:         timings,
-	}, nil
+	cl.Closure = closure
+	cl.UninformedPairs = propStats.UninformedPairs
+	cl.Timings.Propagation = time.Since(start)
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return cl, nil
 }
 
 // InferFromClosure runs only Step 4 over an existing complete closure,

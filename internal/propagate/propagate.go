@@ -9,7 +9,9 @@
 // (matrix powers of the weight matrix) up to MaxHops hops: because every
 // weight lies in (0, 1), longer chains contribute geometrically less, and
 // the dominant transitive evidence lives in the short chains. MaxHops is an
-// option and an ablation benchmark covers its effect.
+// option and an ablation benchmark covers its effect. Each hop multiplies
+// the dense current power by the weight matrix held in compressed sparse
+// row form, skipping zero (or pruned) entries of the current power.
 //
 // The final preference is w̌_ij = alpha*w_ij + (1-alpha)*w*_ij, followed by
 // the pairwise normalization w_ij <- w_ij / (w_ij + w_ji) so that
@@ -125,14 +127,18 @@ func Closure(g *graph.PreferenceGraph, p Params) (*graph.PreferenceGraph, Stats,
 		hops = 1
 	}
 	indirect, indirectPairs := walkSums(g, direct, hops, p.PruneEpsilon, p.Parallelism)
+	return blend(direct, indirect, Stats{IndirectPairs: indirectPairs, HopsUsed: hops}, p)
+}
 
+// blend mixes the direct weights with the indirect walk sums into the
+// normalized closure (the second half of Closure). stats arrives with
+// IndirectPairs and HopsUsed set; blend counts UninformedPairs.
+func blend(direct, indirect [][]float64, stats Stats, p Params) (*graph.PreferenceGraph, Stats, error) {
+	n := len(direct)
 	closure, err := graph.NewPreferenceGraph(n)
 	if err != nil {
 		return nil, Stats{}, fmt.Errorf("propagate: %w", err)
 	}
-	var stats Stats
-	stats.IndirectPairs = indirectPairs
-	stats.HopsUsed = hops
 
 	// Mean two-directional walk mass over informed pairs, the reference
 	// scale for PriorStrength shrinkage.
@@ -212,13 +218,38 @@ func clampWeight(w, floor float64) float64 {
 // walkSums accumulates, for every ordered pair (i, j), the sum over
 // 2..hops-hop walks of the product of edge weights: indirect[i][j] =
 // sum_{h=2..hops} (W^h)_ij, with diagonal contributions discarded at every
-// step so cycles through the source do not feed back. The multiplication
-// exploits sparsity by skipping zero entries of the current power.
+// step so cycles through the source do not feed back.
+//
+// Each hop multiplies the dense current power by W held in compressed
+// sparse row form (edge targets and weights inline, in g.Out order), so a
+// row of W^h is built by scanning the nonzero entries of the current
+// power's row and streaming each one's edge list. Every entry of a row
+// receives its terms in the same order as a walk over g.Out(k) with
+// direct[k][j] lookups would give it, so the sums are bit-identical to
+// that formulation.
 func walkSums(g *graph.PreferenceGraph, direct [][]float64, hops int, prune float64, parallelism int) ([][]float64, int) {
 	n := g.N()
 	indirect := newMatrix(n)
 	if hops < 2 {
 		return indirect, 0
+	}
+
+	// CSR copy of W, edges in g.Out order. rowPtr is int, so offsets hold
+	// any edge count up to n*(n-1); int32 suffices for cols because n
+	// itself is far below 2^31 whenever the n x n matrices here fit.
+	rowPtr := make([]int, n+1)
+	for k := 0; k < n; k++ {
+		rowPtr[k+1] = rowPtr[k] + len(g.Out(k))
+	}
+	cols := make([]int32, rowPtr[n])
+	vals := make([]float64, rowPtr[n])
+	for k := 0; k < n; k++ {
+		e := rowPtr[k]
+		for _, j := range g.Out(k) {
+			cols[e] = int32(j)
+			vals[e] = direct[k][j]
+			e++
+		}
 	}
 
 	cur := newMatrix(n) // current power W^h, starting at W^1 = direct
@@ -231,24 +262,25 @@ func walkSums(g *graph.PreferenceGraph, direct [][]float64, hops int, prune floa
 	// update shards trivially across goroutines with identical results.
 	updateRow := func(i int) {
 		row := next[i]
-		for j := range row {
-			row[j] = 0
-		}
-		curRow := cur[i]
-		for k := 0; k < n; k++ {
-			w := curRow[k]
+		clear(row)
+		for k, w := range cur[i] {
 			if w <= prune || k == i {
 				continue
 			}
-			for _, j := range g.Out(k) {
-				if j == i {
-					continue
-				}
-				row[j] += w * direct[k][j]
+			lo, hi := rowPtr[k], rowPtr[k+1]
+			ks := cols[lo:hi]
+			vs := vals[lo:hi]
+			vs = vs[:len(ks)] // lets the compiler drop vs[e]'s bounds check
+			for e, j := range ks {
+				row[j] += w * vs[e]
 			}
 		}
-		for j := 0; j < n; j++ {
-			indirect[i][j] += row[j]
+		// Walks that return to the source are discarded: row[i] collected
+		// them above but is reset before anything reads it.
+		row[i] = 0
+		acc := indirect[i]
+		for j, v := range row {
+			acc[j] += v
 		}
 	}
 

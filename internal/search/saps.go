@@ -95,14 +95,47 @@ func (p SAPSParams) validate() error {
 	return nil
 }
 
+// sapsTables holds what every start of one search reads and none writes.
+type sapsTables struct {
+	logw [][]float64
+	// asym[u][v] = logw[u][v] - logw[v][u], the all-pairs objective's
+	// gain of ordering u before v rather than v before u. Precomputing it
+	// turns each move's inner loop into a walk along one row instead of a
+	// row and a column load per pair. Nil under the consecutive objective,
+	// which never reads it.
+	asym [][]float64
+	obj  Objective
+}
+
+// newSAPSTables builds the shared tables for logw under objective obj.
+func newSAPSTables(logw [][]float64, obj Objective) *sapsTables {
+	t := &sapsTables{logw: logw, obj: obj}
+	if obj == ObjectiveAllPairs {
+		n := len(logw)
+		t.asym = make([][]float64, n)
+		backing := make([]float64, n*n)
+		for u := range t.asym {
+			t.asym[u], backing = backing[:n:n], backing[n:]
+			for v := range t.asym[u] {
+				t.asym[u][v] = logw[u][v] - logw[v][u]
+			}
+		}
+	}
+	return t
+}
+
 // sapsState carries the annealing state for one start: the current path and
 // its cost d (the negated objective, minimized).
 type sapsState struct {
-	logw  [][]float64
-	obj   Objective
+	*sapsTables
 	path  []int
 	cost  float64
 	evals int
+}
+
+// newSAPSState starts an annealing state on path (which it takes over).
+func newSAPSState(t *sapsTables, path []int) *sapsState {
+	return &sapsState{sapsTables: t, path: path, cost: -scorePath(t.logw, path, t.obj)}
 }
 
 // SAPS runs the simulated-annealing path search of Algorithms 2-3: from
@@ -151,6 +184,7 @@ func SAPSContext(ctx context.Context, g *graph.PreferenceGraph, p SAPSParams, rn
 	}
 	startOrder := rng.Perm(n)[:starts]
 	scoreOrder := scoreRankedOrder(g) // shared by all score-ranked inits
+	tables := newSAPSTables(logw, p.Objective)
 
 	// Derive every start's random stream up front so parallel scheduling
 	// cannot change the result.
@@ -168,19 +202,19 @@ func SAPSContext(ctx context.Context, g *graph.PreferenceGraph, p SAPSParams, rn
 
 	runStart := func(s int) {
 		v := startOrder[s]
-		st := &sapsState{logw: logw, obj: p.Objective}
 		// The first start uses the plain score-ranked order so the search
 		// result is never worse than that construction; later starts
 		// diversify via the configured strategy seeded at v.
+		var path []int
 		switch {
 		case s == 0:
-			st.path = append([]int(nil), scoreOrder...)
+			path = append([]int(nil), scoreOrder...)
 		case p.Init == InitScoreRanked:
-			st.path = rotatedOrder(scoreOrder, v)
+			path = rotatedOrder(scoreOrder, v)
 		default:
-			st.path = nearestNeighborPath(logw, v)
+			path = nearestNeighborPath(logw, v)
 		}
-		st.cost = -scorePath(logw, st.path, p.Objective)
+		st := newSAPSState(tables, path)
 		local := rand.New(rand.NewPCG(seeds[s][0], seeds[s][1]))
 		best := append([]int(nil), st.path...)
 		bestCost := st.cost
@@ -321,12 +355,6 @@ func accept(delta, temp float64, rng *rand.Rand) bool {
 	return rng.Float64() < math.Exp(-delta/temp)
 }
 
-// asym returns log w(u,v) - log w(v,u), the objective gain of ordering u
-// before v rather than v before u.
-func (s *sapsState) asym(u, v int) float64 {
-	return s.logw[u][v] - s.logw[v][u]
-}
-
 // proposeRotate applies Rotate(P, first, middle, last): the block
 // [middle..last] moves in front of [first..middle-1].
 func (s *sapsState) proposeRotate(rng *rand.Rand, temp float64) {
@@ -343,21 +371,29 @@ func (s *sapsState) proposeRotate(rng *rand.Rand, temp float64) {
 	if s.obj == ObjectiveConsecutive {
 		delta = s.rotateDeltaConsecutive(first, middle, last)
 	} else {
-		// Only cross pairs (x in the first block, y in the second) flip;
-		// cost = -score, so flipping an ordered pair (x before y) changes
-		// the cost by +asym(x, y).
-		for a := first; a < middle; a++ {
-			x := s.path[a]
-			for b := middle; b <= last; b++ {
-				delta += s.asym(x, s.path[b])
-			}
-		}
+		delta = s.rotateDeltaAllPairs(first, middle, last)
 	}
 	if !accept(delta, temp, rng) {
 		return
 	}
 	rotate(s.path[first:last+1], middle-first)
 	s.cost += delta
+}
+
+// rotateDeltaAllPairs computes the all-pairs cost change of Rotate(P,
+// first, middle, last). Only cross pairs (x in the first block, y in the
+// second) flip; cost = -score, so flipping an ordered pair (x before y)
+// changes the cost by +asym[x][y]. Each x reads one row of asym.
+func (s *sapsState) rotateDeltaAllPairs(first, middle, last int) float64 {
+	var delta float64
+	second := s.path[middle : last+1]
+	for _, x := range s.path[first:middle] {
+		ax := s.asym[x]
+		for _, y := range second {
+			delta += ax[y]
+		}
+	}
+	return delta
 }
 
 func (s *sapsState) rotateDeltaConsecutive(first, middle, last int) float64 {
@@ -422,19 +458,27 @@ func (s *sapsState) proposeReverse(rng *rand.Rand, temp float64) {
 			delta += s.logw[s.path[t]][s.path[t+1]] - s.logw[s.path[t+1]][s.path[t]]
 		}
 	} else {
-		// Every ordered pair inside the segment flips.
-		for a := first; a < last; a++ {
-			x := s.path[a]
-			for b := a + 1; b <= last; b++ {
-				delta += s.asym(x, s.path[b])
-			}
-		}
+		delta = s.reverseDeltaAllPairs(first, last)
 	}
 	if !accept(delta, temp, rng) {
 		return
 	}
 	reverseInts(s.path[first : last+1])
 	s.cost += delta
+}
+
+// reverseDeltaAllPairs computes the all-pairs cost change of Reverse(P,
+// first, last): every ordered pair inside the segment flips.
+func (s *sapsState) reverseDeltaAllPairs(first, last int) float64 {
+	var delta float64
+	seg := s.path[first : last+1]
+	for a, x := range seg {
+		ax := s.asym[x]
+		for _, y := range seg[a+1:] {
+			delta += ax[y]
+		}
+	}
+	return delta
 }
 
 // proposeSwap applies RandomSwap(P, i, j): two random positions exchange
@@ -458,18 +502,26 @@ func (s *sapsState) proposeSwap(rng *rand.Rand, temp float64) {
 	if s.obj == ObjectiveConsecutive {
 		delta = s.swapDeltaConsecutive(i, j)
 	} else {
-		x, y := s.path[i], s.path[j]
-		delta = s.asym(x, y)
-		for k := i + 1; k < j; k++ {
-			z := s.path[k]
-			delta += s.asym(x, z) + s.asym(z, y)
-		}
+		delta = s.swapDeltaAllPairs(i, j)
 	}
 	if !accept(delta, temp, rng) {
 		return
 	}
 	s.path[i], s.path[j] = s.path[j], s.path[i]
 	s.cost += delta
+}
+
+// swapDeltaAllPairs computes the all-pairs cost change of swapping
+// positions i < j: x and y trade places, so (x, y) flips, and so does
+// every pair x or y forms with a vertex z between them.
+func (s *sapsState) swapDeltaAllPairs(i, j int) float64 {
+	x, y := s.path[i], s.path[j]
+	ax := s.asym[x]
+	delta := ax[y]
+	for _, z := range s.path[i+1 : j] {
+		delta += ax[z] + s.asym[z][y]
+	}
+	return delta
 }
 
 // swapDeltaConsecutive computes the consecutive-objective cost change of

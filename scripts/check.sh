@@ -47,12 +47,12 @@ go test -run='^$' -fuzz=FuzzSnapshotLoad -fuzztime=20s ./internal/snapshot
 echo "== go test -tags crowdrank_invariants ./... =="
 go test -tags crowdrank_invariants ./...
 
-echo "== bench delta: BenchmarkInfer / BenchmarkPlanTasks / BenchmarkRankCold / BenchmarkRankWarm vs scripts/bench.baseline =="
+echo "== bench delta: BenchmarkInfer / BenchmarkPlanTasks / BenchmarkSAPSSearch / BenchmarkRankCold / BenchmarkRankWarm / BenchmarkClosure / BenchmarkSAPS vs scripts/bench.baseline =="
 # Report-only: machines differ, so the delta informs rather than gates.
 # Delete scripts/bench.baseline to re-baseline after an intentional change.
 bench_tmp=$(mktemp)
 trap 'rm -f "$bench_tmp"' EXIT
-go test -run '^$' -bench '^(BenchmarkInfer|BenchmarkPlanTasks|BenchmarkRankCold|BenchmarkRankWarm)$' -benchtime 1x -count 3 . ./internal/serve >"$bench_tmp"
+go test -run '^$' -bench '^(BenchmarkInfer|BenchmarkPlanTasks|BenchmarkSAPSSearch|BenchmarkRankCold|BenchmarkRankWarm|BenchmarkClosure|BenchmarkSAPS)$' -benchtime 1x -count 3 . ./internal/serve ./internal/propagate ./internal/search >"$bench_tmp"
 if [ -f scripts/bench.baseline ]; then
 	go run ./cmd/benchdelta -old scripts/bench.baseline -new "$bench_tmp"
 else
